@@ -75,12 +75,16 @@ type observation =
 type t = {
   sem : Mode.semantics;
   entries : entry Resource_id.Tbl.t;
-  (* all resources of a table that currently carry holds or waiters: the
-     hierarchical checks and cross-level promotion need them *)
-  by_table : (string, unit Resource_id.Tbl.t) Hashtbl.t;
+      (* every live entry; an entry exists only while it has holds or waiters *)
+  by_table : (string, entry Resource_id.Tbl.t) Hashtbl.t;
+      (* the live entries of each table: the hierarchical checks need them *)
+  queued : (string, entry Resource_id.Map.t) Hashtbl.t;
+      (* the waiter index: per table, the entries whose queue is non-empty, in
+         canonical order.  A table without waiters has no binding, so
+         promotion after a release is free when nothing waits. *)
   mutable next_ticket : int;
   tickets : (ticket, waiter) Hashtbl.t; (* outstanding waits only *)
-  by_txn : (int, unit Resource_id.Tbl.t) Hashtbl.t; (* txn -> resources held *)
+  by_txn : (int, entry Resource_id.Tbl.t) Hashtbl.t; (* txn -> entries it holds *)
   mutable obs : (observation -> unit) option;
   mutable activity : (int -> int -> unit) option;
   (* per-transaction bookkeeping hook: called with (txn, +1) whenever a hold
@@ -97,6 +101,7 @@ let create ?(max_bypass = Lock_core.default_max_bypass) ?(clock = fun () -> 0.) 
     sem;
     entries = Resource_id.Tbl.create 1024;
     by_table = Hashtbl.create 64;
+    queued = Hashtbl.create 8;
     next_ticket = 0;
     tickets = Hashtbl.create 64;
     by_txn = Hashtbl.create 64;
@@ -110,15 +115,12 @@ let set_observer t obs = t.obs <- obs
 let set_activity_hook t hook = t.activity <- hook
 let act t txn delta = match t.activity with None -> () | Some f -> f txn delta
 
-let table_members t tname =
-  match Hashtbl.find_opt t.by_table tname with
-  | Some set -> set
-  | None ->
-      let set = Resource_id.Tbl.create 64 in
-      Hashtbl.add t.by_table tname set;
-      set
+(* --- entry lifecycle -----------------------------------------------------
 
-let note_entry_active t res = Resource_id.Tbl.replace (table_members t (Resource_id.table_of res)) res ()
+   [entry] creates an entry on first use; every operation that may leave an
+   entry it touched without holds or waiters passes it to [gc_entry], so the
+   table never carries drained entries and the child sweeps below stay
+   proportional to live locks. *)
 
 let entry t res =
   match Resource_id.Tbl.find_opt t.entries res with
@@ -126,10 +128,18 @@ let entry t res =
   | None ->
       let e = { e_resource = res; holds = []; queue = [] } in
       Resource_id.Tbl.add t.entries res e;
+      let tname = Resource_id.table_of res in
+      let members =
+        match Hashtbl.find_opt t.by_table tname with
+        | Some set -> set
+        | None ->
+            let set = Resource_id.Tbl.create 64 in
+            Hashtbl.add t.by_table tname set;
+            set
+      in
+      Resource_id.Tbl.add members res e;
       e
 
-(* drop empty entries so the child-sweep of table-level assertional requests
-   stays proportional to live locks *)
 let gc_entry t e =
   if e.holds = [] && e.queue = [] then begin
     Resource_id.Tbl.remove t.entries e.e_resource;
@@ -141,7 +151,24 @@ let gc_entry t e =
     | None -> ()
   end
 
-let note_held t ~txn res =
+(* Every queue change goes through here, keeping the waiter index exact. *)
+let set_queue t e q =
+  let was_queued = e.queue <> [] and queued = q <> [] in
+  e.queue <- q;
+  if was_queued <> queued then begin
+    let tname = Resource_id.table_of e.e_resource in
+    let index =
+      Option.value (Hashtbl.find_opt t.queued tname) ~default:Resource_id.Map.empty
+    in
+    let index =
+      if queued then Resource_id.Map.add e.e_resource e index
+      else Resource_id.Map.remove e.e_resource index
+    in
+    if Resource_id.Map.is_empty index then Hashtbl.remove t.queued tname
+    else Hashtbl.replace t.queued tname index
+  end
+
+let note_held t ~txn e =
   let set =
     match Hashtbl.find_opt t.by_txn txn with
     | Some s -> s
@@ -150,13 +177,15 @@ let note_held t ~txn res =
         Hashtbl.add t.by_txn txn s;
         s
   in
-  Resource_id.Tbl.replace set res ()
+  Resource_id.Tbl.replace set e.e_resource e
 
-let forget_held_if_empty t ~txn res e =
-  if not (List.exists (fun h -> h.h_txn = txn) e.holds) then
+let still_holds ~txn e = List.exists (fun h -> h.h_txn = txn) e.holds
+
+let forget_held_if_empty t ~txn e =
+  if not (still_holds ~txn e) then
     match Hashtbl.find_opt t.by_txn txn with
     | Some set ->
-        Resource_id.Tbl.remove set res;
+        Resource_id.Tbl.remove set e.e_resource;
         if Resource_id.Tbl.length set = 0 then Hashtbl.remove t.by_txn txn
     | None -> ()
 
@@ -185,12 +214,9 @@ let relevant_holds t res ~mode =
       match Hashtbl.find_opt t.by_table (Resource_id.table_of res) with
       | Some set ->
           Resource_id.Tbl.fold
-            (fun r () acc ->
+            (fun r e acc ->
               match r with
-              | Resource_id.Tuple _ -> (
-                  match Resource_id.Tbl.find_opt t.entries r with
-                  | Some e -> e.holds @ acc
-                  | None -> acc)
+              | Resource_id.Tuple _ -> e.holds @ acc
               | Resource_id.Table _ -> acc)
             set []
       | None -> []
@@ -214,7 +240,8 @@ let holds_compatible t res ~txn ~mode ~requester =
    may delay compensation). *)
 
 (* waiters in other queues a grant on [res] can overtake: the parent table's
-   queue for a tuple grant, the tuple queues for an absolute table grant *)
+   queue for a tuple grant, the tuple queues for an absolute table grant
+   (read from the waiter index, so only queued entries are visited) *)
 let cross_level_waiters t res ~mode =
   let parent =
     match Resource_id.parent res with
@@ -225,18 +252,15 @@ let cross_level_waiters t res ~mode =
   let children =
     match (res, mode) with
     | Resource_id.Table _, (Mode.IS | Mode.IX) -> []
-    | Resource_id.Table _, _ -> (
-        match Hashtbl.find_opt t.by_table (Resource_id.table_of res) with
-        | Some set ->
-            Resource_id.Tbl.fold
-              (fun r () acc ->
+    | Resource_id.Table tname, _ -> (
+        match Hashtbl.find_opt t.queued tname with
+        | Some index ->
+            Resource_id.Map.fold
+              (fun r e acc ->
                 match r with
-                | Resource_id.Tuple _ -> (
-                    match Resource_id.Tbl.find_opt t.entries r with
-                    | Some e -> e.queue @ acc
-                    | None -> acc)
+                | Resource_id.Tuple _ -> e.queue @ acc
                 | Resource_id.Table _ -> acc)
-              set []
+              index []
         | None -> [])
     | Resource_id.Tuple _, _ -> []
   in
@@ -262,10 +286,9 @@ let record_bypass t ~txn ~mode ~step_type waiters =
 let queue_ahead_compatible t ~txn ~mode ~requester ahead =
   Lock_core.queue_ahead_compatible t.sem ~txn ~mode ~requester ahead
 
-let add_hold t e ~txn ~step_type ~mode res =
-  e.holds <- e.holds @ [ { h_txn = txn; h_mode = mode; h_step = step_type; h_count = 1 } ];
-  note_entry_active t res;
-  note_held t ~txn res;
+let add_hold t e ~txn ~step_type ~mode ~count =
+  e.holds <- e.holds @ [ { h_txn = txn; h_mode = mode; h_step = step_type; h_count = count } ];
+  note_held t ~txn e;
   act t txn 1
 
 (* Post-hoc classification of a decision, for the observer.  Runs only when
@@ -388,7 +411,7 @@ let submit t (r : Lock_request.t) =
                }));
       if granted then begin
         record_bypass t ~txn ~mode ~step_type affected;
-        add_hold t e ~txn ~step_type ~mode res;
+        add_hold t e ~txn ~step_type ~mode ~count:1;
         Granted
       end
       else begin
@@ -410,8 +433,7 @@ let submit t (r : Lock_request.t) =
         in
         (* upgrades wait at the head so they cannot deadlock behind requests
            that conflict with the lock they already hold *)
-        e.queue <- (if upgrade then w :: e.queue else e.queue @ [ w ]);
-        note_entry_active t res;
+        set_queue t e (if upgrade then w :: e.queue else e.queue @ [ w ]);
         Hashtbl.replace t.tickets ticket w;
         act t txn 1;
         Queued ticket
@@ -434,7 +456,7 @@ let attach_req t (r : Lock_request.t) =
     List.find_opt (fun h -> h.h_txn = txn && Mode.equal h.h_mode mode) e.holds
   with
   | Some h -> h.h_count <- h.h_count + 1
-  | None -> add_hold t e ~txn ~step_type ~mode res
+  | None -> add_hold t e ~txn ~step_type ~mode ~count:1
 
 (* Grant the maximal FIFO-respecting set of waiters on [e].  A promotion
    grant is subject to the same fairness gate as a fresh request: it may not
@@ -443,7 +465,7 @@ let attach_req t (r : Lock_request.t) =
 let promote_entry t e =
   let rec loop granted still_waiting = function
     | [] ->
-        e.queue <- List.rev still_waiting;
+        set_queue t e (List.rev still_waiting);
         List.rev granted
     | w :: rest ->
         let overtaken =
@@ -461,7 +483,7 @@ let promote_entry t e =
         in
         if compatible && fair then begin
           record_bypass t ~txn:w.w_txn ~mode:w.w_mode ~step_type:w.w_step overtaken;
-          add_hold t e ~txn:w.w_txn ~step_type:w.w_step ~mode:w.w_mode w.w_resource;
+          add_hold t e ~txn:w.w_txn ~step_type:w.w_step ~mode:w.w_mode ~count:1;
           Hashtbl.remove t.tickets w.w_ticket;
           act t w.w_txn (-1);
           (match t.obs with
@@ -476,57 +498,30 @@ let promote_entry t e =
 
 (* A release on any resource of a table can unblock waiters anywhere in that
    table (cross-level conflicts), so promotion sweeps the table's queued
-   entries to a fixpoint. *)
+   entries, in canonical order, to a fixpoint.  The waiter index hands it
+   exactly those entries; a table nobody waits in costs one lookup.
+   Promotion only moves waiters into holds, so it never drains an entry. *)
 let promote_table t tname =
   let rec sweep acc =
-    let entries_with_queues =
-      match Hashtbl.find_opt t.by_table tname with
-      | Some set ->
-          Resource_id.Tbl.fold
-            (fun r () acc ->
-              match Resource_id.Tbl.find_opt t.entries r with
-              | Some e when e.queue <> [] -> e :: acc
-              | Some _ | None -> acc)
-            set []
-          |> List.sort (fun a b -> Resource_id.compare a.e_resource b.e_resource)
-      | None -> []
-    in
-    let woken = List.concat_map (fun e -> promote_entry t e) entries_with_queues in
-    if woken = [] then acc else sweep (acc @ woken)
+    match Hashtbl.find_opt t.queued tname with
+    | None -> acc
+    | Some index ->
+        let woken =
+          List.concat_map (fun (_, e) -> promote_entry t e) (Resource_id.Map.bindings index)
+        in
+        if woken = [] then acc else sweep (acc @ woken)
   in
   sweep []
 
-(* gc every drained entry of the table *)
-let gc_table_drained t tname =
-  match Hashtbl.find_opt t.by_table tname with
-  | Some set ->
-      let drained =
-        Resource_id.Tbl.fold
-          (fun r () acc ->
-            match Resource_id.Tbl.find_opt t.entries r with
-            | Some e when e.holds = [] && e.queue = [] -> e :: acc
-            | Some _ -> acc
-            | None -> acc)
-          set []
-      in
-      List.iter (gc_entry t) drained
-  | None -> ()
+(* one promotion per touched table, in canonical table order *)
+let promote_tables t tnames =
+  if Hashtbl.length t.queued = 0 then []
+  else List.concat_map (promote_table t) (List.sort_uniq String.compare tnames)
 
-let after_change t e =
-  let tname = Resource_id.table_of e.e_resource in
-  let woken = promote_table t tname in
-  gc_entry t e;
-  gc_table_drained t tname;
-  woken
-
-(* Promotion poke without a triggering release: run the table's promotion
-   sweep to a fixpoint and gc what drained.  The sharded table calls this
-   after a lock-free fast-path retreat (a rolled-back optimistic install may
-   have transiently blocked a grantable waiter). *)
-let promote t ~table =
-  let woken = promote_table t table in
-  gc_table_drained t table;
-  woken
+(* Promotion poke without a triggering release.  The sharded table calls
+   this after a lock-free fast-path retreat (a rolled-back optimistic
+   install may have transiently blocked a grantable waiter). *)
+let promote t ~table = promote_table t table
 
 (* Unconditional install of an already-granted hold, used when the sharded
    table migrates a lock-free fast-path grant into the sequential table (the
@@ -541,12 +536,7 @@ let import_hold t ~txn ~step_type ~mode ~count res =
     List.find_opt (fun h -> h.h_txn = txn && Mode.equal h.h_mode mode) e.holds
   with
   | Some h -> h.h_count <- h.h_count + count
-  | None ->
-      e.holds <-
-        e.holds @ [ { h_txn = txn; h_mode = mode; h_step = step_type; h_count = count } ];
-      note_entry_active t res;
-      note_held t ~txn res;
-      act t txn 1
+  | None -> add_hold t e ~txn ~step_type ~mode ~count
 
 let release t ~txn mode res =
   let e = entry t res in
@@ -569,25 +559,23 @@ let release t ~txn mode res =
         (match t.obs with
         | None -> ()
         | Some f -> f (Ob_release { ol_txn = txn; ol_mode = mode; ol_resource = res }));
-        forget_held_if_empty t ~txn res e;
-        after_change t e
+        forget_held_if_empty t ~txn e;
+        gc_entry t e;
+        promote_table t (Resource_id.table_of res)
       end
 
-let release_where t ~txn pred =
+(* Drop every hold of [txn] accepted by [pred], visiting only the entries
+   [txn] holds; returns the names of the tables it released in.  No
+   promotion runs here. *)
+let drop_holds t ~txn pred =
   match Hashtbl.find_opt t.by_txn txn with
   | None -> []
   | Some set ->
-      let resources = Resource_id.Tbl.fold (fun res () acc -> res :: acc) set [] in
-      List.concat_map
-        (fun res ->
-          let e = entry t res in
-          let mine, kept =
-            List.partition (fun h -> h.h_txn = txn && pred res h.h_mode) e.holds
-          in
-          if mine = [] then begin
-            gc_entry t e;
-            []
-          end
+      let touched = ref [] in
+      Resource_id.Tbl.filter_map_inplace
+        (fun res e ->
+          let mine, kept = List.partition (fun h -> h.h_txn = txn && pred res h.h_mode) e.holds in
+          if mine = [] then Some e
           else begin
             e.holds <- kept;
             act t txn (-List.length mine);
@@ -597,32 +585,45 @@ let release_where t ~txn pred =
                 List.iter
                   (fun h -> f (Ob_release { ol_txn = txn; ol_mode = h.h_mode; ol_resource = res }))
                   mine);
-            forget_held_if_empty t ~txn res e;
-            after_change t e
+            let tname = Resource_id.table_of res in
+            if not (List.mem tname !touched) then touched := tname :: !touched;
+            gc_entry t e;
+            if still_holds ~txn e then Some e else None
           end)
-        (List.sort Resource_id.compare resources)
+        set;
+      if Resource_id.Tbl.length set = 0 then Hashtbl.remove t.by_txn txn;
+      !touched
+
+let release_where t ~txn pred = promote_tables t (drop_holds t ~txn pred)
+
+(* Take a queued request out of its queue (no promotion). *)
+let withdraw t w =
+  Hashtbl.remove t.tickets w.w_ticket;
+  act t w.w_txn (-1);
+  (match t.obs with
+  | None -> ()
+  | Some f -> f (Ob_cancel { oc_txn = w.w_txn; oc_resource = w.w_resource }));
+  match Resource_id.Tbl.find_opt t.entries w.w_resource with
+  | Some e ->
+      set_queue t e (List.filter (fun w' -> w'.w_ticket <> w.w_ticket) e.queue);
+      gc_entry t e
+  | None -> ()
 
 let cancel t ~ticket =
   match Hashtbl.find_opt t.tickets ticket with
   | None -> []
   | Some w ->
-      Hashtbl.remove t.tickets ticket;
-      act t w.w_txn (-1);
-      (match t.obs with
-      | None -> ()
-      | Some f -> f (Ob_cancel { oc_txn = w.w_txn; oc_resource = w.w_resource }));
-      let e = entry t w.w_resource in
-      e.queue <- List.filter (fun w' -> w'.w_ticket <> ticket) e.queue;
-      after_change t e
+      withdraw t w;
+      promote_table t (Resource_id.table_of w.w_resource)
 
+(* Withdraw the transaction's outstanding waits and drop its holds, then
+   promote once per table it left. *)
 let release_all t ~txn =
-  (* withdraw any outstanding wait first so promotion is not blocked by it *)
-  let my_tickets =
-    Hashtbl.fold (fun tk w acc -> if w.w_txn = txn then tk :: acc else acc) t.tickets []
-  in
-  let w1 = List.concat_map (fun tk -> cancel t ~ticket:tk) my_tickets in
-  let w2 = release_where t ~txn (fun _ _ -> true) in
-  w1 @ w2
+  let mine = Hashtbl.fold (fun _ w acc -> if w.w_txn = txn then w :: acc else acc) t.tickets [] in
+  List.iter (withdraw t) mine;
+  promote_tables t
+    (List.map (fun w -> Resource_id.table_of w.w_resource) mine
+    @ drop_holds t ~txn (fun _ _ -> true))
 
 let outstanding t ~ticket = Hashtbl.mem t.tickets ticket
 let ticket_txn t ~ticket = Option.map (fun w -> w.w_txn) (Hashtbl.find_opt t.tickets ticket)
@@ -640,11 +641,8 @@ let held_by t ~txn =
   | None -> []
   | Some set ->
       Resource_id.Tbl.fold
-        (fun res () acc ->
-          let holds =
-            match Resource_id.Tbl.find_opt t.entries res with Some e -> e.holds | None -> []
-          in
-          List.filter_map (fun h -> if h.h_txn = txn then Some (res, h.h_mode) else None) holds
+        (fun res e acc ->
+          List.filter_map (fun h -> if h.h_txn = txn then Some (res, h.h_mode) else None) e.holds
           @ acc)
         set []
       |> List.sort compare
@@ -665,13 +663,15 @@ let waiter_blockers t w =
         else None)
       (relevant_holds t w.w_resource ~mode:w.w_mode)
   in
-  let e = entry t w.w_resource in
+  let queue =
+    match Resource_id.Tbl.find_opt t.entries w.w_resource with Some e -> e.queue | None -> []
+  in
   let rec ahead acc = function
     | [] -> [] (* w not queued here anymore *)
     | w' :: _ when w'.w_ticket = w.w_ticket -> List.rev acc
     | w' :: rest -> ahead (w' :: acc) rest
   in
-  let ahead_ws = ahead [] e.queue in
+  let ahead_ws = ahead [] queue in
   let from_queue =
     List.filter_map
       (fun w' ->
@@ -696,7 +696,6 @@ let waiter_blockers t w =
           else None)
         (ahead_ws @ cross_level_waiters t w.w_resource ~mode:w.w_mode)
   in
-  gc_entry t e;
   List.sort_uniq compare (from_holds @ from_queue @ from_fairness)
 
 let blockers t ~ticket =
@@ -754,6 +753,72 @@ let lock_count t =
 
 let waiter_count t = Hashtbl.length t.tickets
 let entry_count t = Resource_id.Tbl.length t.entries
+
+(* Full consistency sweep of the bookkeeping — for tests only. *)
+let invariant_errors t =
+  let errs = ref [] in
+  let err fmt = Format.kasprintf (fun m -> errs := m :: !errs) fmt in
+  let bound tbl res e =
+    match Resource_id.Tbl.find_opt tbl res with Some e' -> e' == e | None -> false
+  in
+  let is_live = bound t.entries in
+  Resource_id.Tbl.iter
+    (fun res e ->
+      let tname = Resource_id.table_of res in
+      if e.holds = [] && e.queue = [] then err "%a: drained entry kept" Resource_id.pp res;
+      (match Hashtbl.find_opt t.by_table tname with
+      | Some set when bound set res e -> ()
+      | _ -> err "%a: missing from its table's members" Resource_id.pp res);
+      let indexed =
+        match Hashtbl.find_opt t.queued tname with
+        | Some index -> Resource_id.Map.find_opt res index
+        | None -> None
+      in
+      (match (indexed, e.queue) with
+      | Some e', _ :: _ when e' == e -> ()
+      | None, [] -> ()
+      | _ -> err "%a: waiter index disagrees with the queue" Resource_id.pp res);
+      List.iter
+        (fun w ->
+          match Hashtbl.find_opt t.tickets w.w_ticket with
+          | Some w' when w' == w -> ()
+          | _ -> err "%a: queued ticket %d not outstanding" Resource_id.pp res w.w_ticket)
+        e.queue;
+      List.iter
+        (fun h ->
+          match Hashtbl.find_opt t.by_txn h.h_txn with
+          | Some set when Resource_id.Tbl.mem set res -> ()
+          | _ -> err "%a: hold of %d missing from its txn's set" Resource_id.pp res h.h_txn)
+        e.holds)
+    t.entries;
+  Hashtbl.iter
+    (fun _ index ->
+      if Resource_id.Map.is_empty index then err "empty waiter-index binding";
+      Resource_id.Map.iter
+        (fun res e -> if not (is_live res e) then err "%a: indexed but not live" Resource_id.pp res)
+        index)
+    t.queued;
+  Hashtbl.iter
+    (fun _ set ->
+      Resource_id.Tbl.iter
+        (fun res e -> if not (is_live res e) then err "%a: member but not live" Resource_id.pp res)
+        set)
+    t.by_table;
+  Hashtbl.iter
+    (fun txn set ->
+      Resource_id.Tbl.iter
+        (fun res e ->
+          if not (is_live res e && still_holds ~txn e) then
+            err "%a: in the set of %d, which holds nothing there" Resource_id.pp res txn)
+        set)
+    t.by_txn;
+  Hashtbl.iter
+    (fun tk w ->
+      match Resource_id.Tbl.find_opt t.entries w.w_resource with
+      | Some e when List.memq w e.queue -> ()
+      | _ -> err "ticket %d not in any queue" tk)
+    t.tickets;
+  List.rev !errs
 
 let pp_state ppf t =
   Resource_id.Tbl.iter

@@ -122,19 +122,22 @@ val release : t -> txn:int -> Mode.t -> Resource_id.t -> wakeup list
 
 val release_where : t -> txn:int -> (Resource_id.t -> Mode.t -> bool) -> wakeup list
 (** Drop every hold of [txn] satisfying the predicate (regardless of
-    re-entrant count); returns all wakeups across resources. *)
+    re-entrant count), then run one promotion per table released in, in
+    table-name order; returns all wakeups.  The cost is proportional to the
+    holds of [txn] plus the queued entries of those tables. *)
 
 val release_all : t -> txn:int -> wakeup list
-(** Commit/final-abort: drop all holds {e and} any outstanding waiting
-    request of the transaction. *)
+(** Commit/final-abort: withdraw any outstanding waiting request of the
+    transaction and drop all its holds, then promote as {!release_where}
+    does. *)
 
 val cancel : t -> ticket:ticket -> wakeup list
 (** Withdraw a waiting request (used when its step is chosen as deadlock
     victim); no-op if the ticket is no longer outstanding. *)
 
 val promote : t -> table:string -> wakeup list
-(** Run the table's promotion sweep to a fixpoint (and gc drained entries)
-    without a triggering release.  Used by the sharded table after rolling
+(** Run the table's promotion sweep to a fixpoint without a triggering
+    release.  Used by the sharded table after rolling
     back an optimistic fast-path install that may have transiently blocked a
     grantable waiter. *)
 
@@ -199,5 +202,12 @@ val waiter_count : t -> int
 
 val entry_count : t -> int
 (** Live lock-table entries (for leak tests). *)
+
+val invariant_errors : t -> string list
+(** Check the table's internal bookkeeping and describe every violation
+    (empty when consistent): every entry has holds or waiters; the waiter
+    index holds exactly the entries with a non-empty queue; the per-table,
+    per-transaction and ticket indexes agree with the entries.  A full sweep,
+    for tests. *)
 
 val pp_state : Format.formatter -> t -> unit

@@ -666,9 +666,21 @@ let fast_holders s res =
       List.map (fun fh -> (fh.f_txn, fh.f_mode, fh.f_step)) fhs
   | _ -> []
 
+(* While the shard's lock table is empty every hold lives in a fast slot, so
+   a seqlock-validated read of the resource's slot answers without the
+   mutex; any overlapping slow section sends the query down the mutex path. *)
 let holders t res =
   let s = t.shards.(shard_index t res) in
-  with_shard t s (fun () -> Lock_table.holders s.table res @ fast_holders s res)
+  let seq0 = Atomic.get s.seq in
+  let lock_free =
+    if t.use_fast && seq0 land 1 = 0 && Atomic.get s.slow_entries = 0 then
+      let hs = fast_holders s res in
+      if Atomic.get s.seq = seq0 then Some hs else None
+    else None
+  in
+  match lock_free with
+  | Some hs -> hs
+  | None -> with_shard t s (fun () -> Lock_table.holders s.table res @ fast_holders s res)
 
 let fast_held_by s ~txn =
   Array.fold_left

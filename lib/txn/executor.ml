@@ -146,7 +146,13 @@ let cost t = t.cost
 let lock_release t ~txn mode res = Lock_service.release t.service ~txn mode res
 let lock_release_where t ~txn pred = Lock_service.release_where t.service ~txn pred
 let lock_release_all t ~txn = Lock_service.release_all t.service ~txn
-let lock_held_by t ~txn = Lock_service.held_by t.service ~txn
+
+(* does [txn] already hold a lock on [res] covering S?  Asks about the one
+   resource, not the transaction's whole hold set *)
+let holds_s t ~txn res =
+  List.exists
+    (fun (tx, m, _) -> tx = txn && Mode.covers m Mode.S)
+    (Lock_service.holders t.service res)
 
 (* --- transaction lifecycle ---------------------------------------------- *)
 
@@ -321,10 +327,7 @@ let read_exn ctx tname key =
 
 let read_committed ctx tname key =
   let res = Resource_id.Tuple (tname, key) in
-  let held_before =
-    List.exists (fun (r, m) -> Resource_id.equal r res && Mode.covers m Mode.S)
-      (lock_held_by ctx.eng ~txn:ctx.txn)
-  in
+  let held_before = holds_s ctx.eng ~txn:ctx.txn res in
   lock_tuple_read ctx tname key;
   charge ctx.eng ctx.eng.cost.point_op;
   trace ctx `R res;
@@ -352,10 +355,7 @@ let scan ctx tname ?where () =
 
 let scan_committed ctx tname ?where () =
   let res = Resource_id.Table tname in
-  let held_before =
-    List.exists (fun (r, m) -> Resource_id.equal r res && Mode.covers m Mode.S)
-      (lock_held_by ctx.eng ~txn:ctx.txn)
-  in
+  let held_before = holds_s ctx.eng ~txn:ctx.txn res in
   acquire ctx Mode.S res;
   let table = table_of ctx tname in
   let rows, cost =

@@ -828,6 +828,439 @@ let prop_bounded_bypass =
         ~max_bypassed:(fun () -> Lock_table.max_bypassed t)
         ops)
 
+(* --- model check: the waiter index against a full-sweep oracle ----------
+
+   [Ref] re-implements the lock table's decisions the simple way: entries in
+   one hash table, promotion finding queued entries by sweeping every entry
+   of the table and sorting them.  Random operation sequences run on both;
+   after every operation their results and observable state must agree, and
+   the real table's internal indexes must pass [invariant_errors]. *)
+
+module Ref = struct
+  type entry = {
+    res : Resource_id.t;
+    mutable holds : Lock_core.hold list;
+    mutable queue : Lock_core.waiter list;
+  }
+
+  type t = {
+    sem : Mode.semantics;
+    max_bypass : int;
+    clock : unit -> float;
+    entries : entry Resource_id.Tbl.t;
+    tickets : (int, Lock_core.waiter) Hashtbl.t;
+    mutable next_ticket : int;
+  }
+
+  let create ~max_bypass ~clock sem =
+    {
+      sem;
+      max_bypass;
+      clock;
+      entries = Resource_id.Tbl.create 16;
+      tickets = Hashtbl.create 16;
+      next_ticket = 0;
+    }
+
+  let find t res = Resource_id.Tbl.find_opt t.entries res
+  let holds_of t res = match find t res with Some e -> e.holds | None -> []
+  let queue_of t res = match find t res with Some e -> e.queue | None -> []
+
+  let entry t res =
+    match find t res with
+    | Some e -> e
+    | None ->
+        let e = { res; holds = []; queue = [] } in
+        Resource_id.Tbl.add t.entries res e;
+        e
+
+  let gc t e = if e.holds = [] && e.queue = [] then Resource_id.Tbl.remove t.entries e.res
+
+  let tuples_of t tname =
+    Resource_id.Tbl.fold
+      (fun r e acc ->
+        match r with
+        | Resource_id.Tuple (tn, _) when String.equal tn tname -> e :: acc
+        | Resource_id.Tuple _ | Resource_id.Table _ -> acc)
+      t.entries []
+
+  let relevant_holds t res ~mode =
+    holds_of t res
+    @ (match Resource_id.parent res with
+      | Some p -> List.filter Lock_core.reaches_down (holds_of t p)
+      | None -> [])
+    @
+    if Lock_core.needs_child_sweep res ~mode then
+      List.concat_map (fun e -> e.holds) (tuples_of t (Resource_id.table_of res))
+    else []
+
+  let cross_level_waiters t res ~mode =
+    (match Resource_id.parent res with Some p -> queue_of t p | None -> [])
+    @
+    match (res, mode) with
+    | Resource_id.Table _, (Mode.IS | Mode.IX) | Resource_id.Tuple _, _ -> []
+    | Resource_id.Table tname, _ -> List.concat_map (fun e -> e.queue) (tuples_of t tname)
+
+  let starved t ~txn ~mode ~step_type ws =
+    List.exists
+      (fun (w : Lock_core.waiter) ->
+        w.w_txn <> txn && w.w_bypassed >= t.max_bypass
+        && Lock_core.grant_blocks_waiter t.sem ~mode ~step_type w)
+      ws
+
+  let bypass t ~txn ~mode ~step_type ws =
+    List.iter
+      (fun (w : Lock_core.waiter) ->
+        if w.w_txn <> txn && Lock_core.grant_blocks_waiter t.sem ~mode ~step_type w then
+          w.w_bypassed <- w.w_bypassed + 1)
+      ws
+
+  let add_hold e ~txn ~step_type ~mode =
+    e.holds <-
+      e.holds @ [ { Lock_core.h_txn = txn; h_mode = mode; h_step = step_type; h_count = 1 } ]
+
+  let submit t (r : Lock_request.t) =
+    let txn = r.txn and step_type = r.step_type and mode = r.mode and res = r.resource in
+    let e = entry t res in
+    match Lock_core.find_covering e.holds ~txn ~mode with
+    | Some h ->
+        h.h_count <- h.h_count + 1;
+        bypass t ~txn ~mode ~step_type (e.queue @ cross_level_waiters t res ~mode);
+        Lock_table.Granted
+    | None ->
+        let requester = Mode.{ req_step_type = step_type; req_admission = r.admission } in
+        let upgrade = List.exists (fun (h : Lock_core.hold) -> h.h_txn = txn) e.holds in
+        let affected = e.queue @ cross_level_waiters t res ~mode in
+        let compatible =
+          Lock_core.holds_compatible t.sem (relevant_holds t res ~mode) ~txn ~mode ~requester
+          && (upgrade || Lock_core.queue_ahead_compatible t.sem ~txn ~mode ~requester e.queue)
+        in
+        if compatible && (r.compensating || not (starved t ~txn ~mode ~step_type affected))
+        then begin
+          bypass t ~txn ~mode ~step_type affected;
+          add_hold e ~txn ~step_type ~mode;
+          Lock_table.Granted
+        end
+        else begin
+          let ticket = t.next_ticket in
+          t.next_ticket <- ticket + 1;
+          let w =
+            {
+              Lock_core.w_ticket = ticket;
+              w_txn = txn;
+              w_mode = mode;
+              w_step = step_type;
+              w_requester = requester;
+              w_resource = res;
+              w_compensating = r.compensating;
+              w_deadline = (if r.compensating then None else r.deadline);
+              w_enqueued = t.clock ();
+              w_bypassed = 0;
+            }
+          in
+          e.queue <- (if upgrade then w :: e.queue else e.queue @ [ w ]);
+          Hashtbl.replace t.tickets ticket w;
+          Lock_table.Queued ticket
+        end
+
+  let attach t (r : Lock_request.t) =
+    let txn = r.txn and step_type = r.step_type and mode = r.mode and res = r.resource in
+    let e = entry t res in
+    bypass t ~txn ~mode ~step_type (e.queue @ cross_level_waiters t res ~mode);
+    match
+      List.find_opt (fun (h : Lock_core.hold) -> h.h_txn = txn && Mode.equal h.h_mode mode) e.holds
+    with
+    | Some h -> h.h_count <- h.h_count + 1
+    | None -> add_hold e ~txn ~step_type ~mode
+
+  let promote_entry t e =
+    let rec loop granted waiting = function
+      | [] ->
+          e.queue <- List.rev waiting;
+          List.rev granted
+      | (w : Lock_core.waiter) :: rest ->
+          let ahead = List.rev waiting in
+          let overtaken = ahead @ cross_level_waiters t w.w_resource ~mode:w.w_mode in
+          let ok =
+            Lock_core.holds_compatible t.sem
+              (relevant_holds t w.w_resource ~mode:w.w_mode)
+              ~txn:w.w_txn ~mode:w.w_mode ~requester:w.w_requester
+            && Lock_core.queue_ahead_compatible t.sem ~txn:w.w_txn ~mode:w.w_mode
+                 ~requester:w.w_requester ahead
+            && (w.w_compensating
+               || not (starved t ~txn:w.w_txn ~mode:w.w_mode ~step_type:w.w_step overtaken))
+          in
+          if ok then begin
+            bypass t ~txn:w.w_txn ~mode:w.w_mode ~step_type:w.w_step overtaken;
+            add_hold e ~txn:w.w_txn ~step_type:w.w_step ~mode:w.w_mode;
+            Hashtbl.remove t.tickets w.w_ticket;
+            loop ((w.w_ticket, w.w_txn) :: granted) waiting rest
+          end
+          else loop granted (w :: waiting) rest
+    in
+    loop [] [] e.queue
+
+  (* today's promotion: sweep every entry of the table for queues *)
+  let promote_table t tname =
+    let rec sweep acc =
+      let queued =
+        Resource_id.Tbl.fold
+          (fun r e acc ->
+            if String.equal (Resource_id.table_of r) tname && e.queue <> [] then e :: acc else acc)
+          t.entries []
+        |> List.sort (fun a b -> Resource_id.compare a.res b.res)
+      in
+      match List.concat_map (promote_entry t) queued with
+      | [] -> acc
+      | woken -> sweep (acc @ woken)
+    in
+    sweep []
+
+  let promote_tables t tnames =
+    List.concat_map (promote_table t) (List.sort_uniq String.compare tnames)
+
+  let release t ~txn mode res =
+    let e = entry t res in
+    match
+      List.find_opt (fun (h : Lock_core.hold) -> h.h_txn = txn && Mode.equal h.h_mode mode) e.holds
+    with
+    | None -> invalid_arg "Ref.release"
+    | Some h when h.h_count > 1 ->
+        h.h_count <- h.h_count - 1;
+        []
+    | Some h ->
+        e.holds <- List.filter (fun h' -> h' != h) e.holds;
+        gc t e;
+        promote_table t (Resource_id.table_of res)
+
+  let drop t ~txn pred =
+    Resource_id.Tbl.fold (fun _ e acc -> e :: acc) t.entries []
+    |> List.filter_map (fun e ->
+           let mine, kept =
+             List.partition (fun (h : Lock_core.hold) -> h.h_txn = txn && pred e.res h.h_mode) e.holds
+           in
+           if mine = [] then None
+           else begin
+             e.holds <- kept;
+             gc t e;
+             Some (Resource_id.table_of e.res)
+           end)
+
+  let release_where t ~txn pred = promote_tables t (drop t ~txn pred)
+
+  let withdraw t (w : Lock_core.waiter) =
+    Hashtbl.remove t.tickets w.w_ticket;
+    match find t w.w_resource with
+    | Some e ->
+        e.queue <- List.filter (fun (w' : Lock_core.waiter) -> w'.w_ticket <> w.w_ticket) e.queue;
+        gc t e
+    | None -> ()
+
+  let cancel t ~ticket =
+    match Hashtbl.find_opt t.tickets ticket with
+    | None -> []
+    | Some w ->
+        withdraw t w;
+        promote_table t (Resource_id.table_of w.w_resource)
+
+  let release_all t ~txn =
+    let mine =
+      Hashtbl.fold
+        (fun _ (w : Lock_core.waiter) acc -> if w.w_txn = txn then w :: acc else acc)
+        t.tickets []
+    in
+    List.iter (withdraw t) mine;
+    promote_tables t
+      (List.map (fun (w : Lock_core.waiter) -> Resource_id.table_of w.w_resource) mine
+      @ drop t ~txn (fun _ _ -> true))
+
+  let expire t ~now =
+    let overdue =
+      Hashtbl.fold
+        (fun _ (w : Lock_core.waiter) acc ->
+          match w.w_deadline with
+          | Some d when d <= now && not w.w_compensating -> w :: acc
+          | Some _ | None -> acc)
+        t.tickets []
+      |> List.sort (fun (a : Lock_core.waiter) b -> compare a.w_ticket b.w_ticket)
+    in
+    let woken = List.concat_map (fun (w : Lock_core.waiter) -> cancel t ~ticket:w.w_ticket) overdue in
+    (List.map (fun (w : Lock_core.waiter) -> (w.w_ticket, w.w_txn)) overdue, woken)
+end
+
+type model_op =
+  | M_submit of int * int * int * int * bool * int option
+      (* txn, step type, mode, resource, compensating, deadline offset *)
+  | M_attach of int * int * int * int (* txn, step type, assertion, resource *)
+  | M_release of int * int (* txn, which of its holds *)
+  | M_where of int * int (* txn, which predicate *)
+  | M_all of int
+  | M_cancel of int
+  | M_expire
+
+let model_modes = [| Mode.S; Mode.X; Mode.IS; Mode.IX; Mode.A 1; Mode.A 2; Mode.Comp 0; Mode.Comp 3 |]
+
+(* two tables, so promotion order across tables and table-local indexes
+   both matter; index 0 and 4 are the tables themselves *)
+let model_resources =
+  [|
+    Resource_id.Table "t";
+    Resource_id.Tuple ("t", [ Value.Int 1 ]);
+    Resource_id.Tuple ("t", [ Value.Int 2 ]);
+    Resource_id.Tuple ("t", [ Value.Int 3 ]);
+    Resource_id.Table "u";
+    Resource_id.Tuple ("u", [ Value.Int 1 ]);
+  |]
+
+let model_preds =
+  [|
+    (fun _ m -> Mode.conventional m) (* a step boundary *);
+    (fun r _ -> match r with Resource_id.Tuple _ -> true | Resource_id.Table _ -> false);
+    (fun r _ -> String.equal (Resource_id.table_of r) "t");
+    (fun _ m -> match m with Mode.A _ -> true | _ -> false);
+  |]
+
+let model_op_gen =
+  QCheck2.Gen.(
+    let txn = int_range 1 4 and step = int_range 0 3 in
+    frequency
+      [
+        ( 6,
+          map3
+            (fun (txn, step) (m, r) (comp, dl) -> M_submit (txn, step, m, r, comp, dl))
+            (pair txn step)
+            (pair (int_range 0 (Array.length model_modes - 1))
+               (int_range 0 (Array.length model_resources - 1)))
+            (pair (map (fun k -> k = 0) (int_range 0 5)) (opt (int_range 1 3))) );
+        ( 2,
+          map3
+            (fun (txn, step) a r -> M_attach (txn, step, a, r))
+            (pair txn step) (int_range 1 2)
+            (int_range 0 (Array.length model_resources - 1)) );
+        (2, map2 (fun txn k -> M_release (txn, k)) txn (int_range 0 7));
+        (2, map2 (fun txn k -> M_where (txn, k)) txn (int_range 0 (Array.length model_preds - 1)));
+        (2, map (fun txn -> M_all txn) txn);
+        (1, map (fun txn -> M_cancel txn) txn);
+        (1, return M_expire);
+      ])
+
+let wake_pairs ws = List.map (fun w -> (w.Lock_table.woken_ticket, w.Lock_table.woken_txn)) ws
+
+let prop_waiter_index_model =
+  QCheck2.Test.make ~name:"lock_table: indexed promotion matches the full-sweep model"
+    ~count:300
+    QCheck2.Gen.(pair (int_range 0 0xffff) (list_size (int_range 0 70) model_op_gen))
+    (fun (bits, ops) ->
+      let sem =
+        Mode.
+          {
+            step_interferes =
+              (fun ~step_type ~assertion ->
+                (bits lsr ((step_type + (4 * assertion)) mod 12)) land 1 = 1);
+            prefix_interferes =
+              (fun ~holder_assertion ~assertion ->
+                (bits lsr (12 + ((holder_assertion + (2 * assertion)) mod 4))) land 1 = 1);
+          }
+      in
+      let now = ref 0. in
+      let clock () = !now in
+      let t = Lock_table.create ~max_bypass:2 ~clock sem in
+      let m = Ref.create ~max_bypass:2 ~clock sem in
+      let fail fmt = Format.kasprintf (fun msg -> QCheck2.Test.fail_report msg) fmt in
+      let same_wakeups what w1 w2 =
+        if wake_pairs w1 <> w2 then fail "%s: wakeups differ" what
+      in
+      let check_state what =
+        (match Lock_table.invariant_errors t with
+        | [] -> ()
+        | e :: _ -> fail "%s: %s" what e);
+        Array.iter
+          (fun res ->
+            let model =
+              List.map (fun (h : Lock_core.hold) -> (h.h_txn, h.h_mode, h.h_step)) (Ref.holds_of m res)
+            in
+            if Lock_table.holders t res <> model then
+              fail "%s: holders of %a differ" what Resource_id.pp res)
+          model_resources;
+        let live = Resource_id.Tbl.length m.Ref.entries in
+        if Lock_table.entry_count t <> live then
+          fail "%s: %d entries, model has %d" what (Lock_table.entry_count t) live;
+        if Lock_table.waiter_count t <> Hashtbl.length m.Ref.tickets then
+          fail "%s: waiter counts differ" what;
+        for txn = 1 to 4 do
+          let model =
+            Hashtbl.fold
+              (fun tk (w : Lock_core.waiter) acc -> if w.w_txn = txn then tk :: acc else acc)
+              m.Ref.tickets []
+          in
+          if List.sort compare (Lock_table.outstanding_tickets t ~txn) <> List.sort compare model then
+            fail "%s: outstanding tickets of %d differ" what txn
+        done;
+        let model_bypass =
+          Hashtbl.fold (fun _ (w : Lock_core.waiter) acc -> max acc w.w_bypassed) m.Ref.tickets 0
+        in
+        if Lock_table.max_bypassed t <> model_bypass then fail "%s: bypass counts differ" what
+      in
+      List.iter
+        (fun op ->
+          let what =
+            match op with
+            | M_submit (txn, step, mi, ri, comp, dl) ->
+                let mode = model_modes.(mi) in
+                (* intention modes belong on tables *)
+                let res =
+                  match (mode, model_resources.(ri)) with
+                  | (Mode.IS | Mode.IX), r -> Option.value (Resource_id.parent r) ~default:r
+                  | _, r -> r
+                in
+                let deadline = Option.map (fun d -> !now +. float_of_int d) dl in
+                let r =
+                  Lock_request.make ~txn ~step_type:step ~admission:(step = 0 && mi >= 4)
+                    ~compensating:comp ?deadline mode res
+                in
+                let g1 = Lock_table.submit t r and g2 = Ref.submit m r in
+                if g1 <> g2 then fail "submit: decisions differ";
+                "submit"
+            | M_attach (txn, step, a, ri) ->
+                let r = Lock_request.make ~txn ~step_type:step (Mode.A a) model_resources.(ri) in
+                Lock_table.attach_req t r;
+                Ref.attach m r;
+                "attach"
+            | M_release (txn, k) -> (
+                match Lock_table.held_by t ~txn with
+                | [] -> "release (nothing held)"
+                | held ->
+                    let res, mode = List.nth held (k mod List.length held) in
+                    same_wakeups "release" (Lock_table.release t ~txn mode res)
+                      (Ref.release m ~txn mode res);
+                    "release")
+            | M_where (txn, k) ->
+                same_wakeups "release_where"
+                  (Lock_table.release_where t ~txn model_preds.(k))
+                  (Ref.release_where m ~txn model_preds.(k));
+                "release_where"
+            | M_all txn ->
+                same_wakeups "release_all" (Lock_table.release_all t ~txn) (Ref.release_all m ~txn);
+                "release_all"
+            | M_cancel txn ->
+                List.iter
+                  (fun ticket ->
+                    same_wakeups "cancel" (Lock_table.cancel t ~ticket) (Ref.cancel m ~ticket))
+                  (List.sort compare (Lock_table.outstanding_tickets t ~txn));
+                "cancel"
+            | M_expire ->
+                now := !now +. 1.;
+                let expired, woken = Lock_table.expire_overdue t ~now:!now in
+                let m_expired, m_woken = Ref.expire m ~now:!now in
+                if List.map (fun x -> (x.Lock_table.ex_ticket, x.Lock_table.ex_txn)) expired <> m_expired
+                then fail "expire: expired requests differ";
+                same_wakeups "expire" woken m_woken;
+                "expire"
+          in
+          check_state what)
+        ops;
+      true)
+
 (* Sequential-vs-sharded parity: the sharded table must agree with the
    sequential one request-for-request on the Lock_request surface.  The
    script exercises grants, queueing, upgrades, re-entry and the
@@ -905,6 +1338,7 @@ let suites =
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xACC |]) prop_no_conflicting_holds;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xACC |]) prop_oracle_safety;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xACC |]) prop_release_all_drains;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xACC |]) prop_waiter_index_model;
       ] );
     ( "lock.assertional",
       [

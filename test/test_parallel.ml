@@ -311,6 +311,41 @@ let test_fast_racing_compatible_installs () =
   Alcotest.(check int) "no residue" 0 (Sharded.lock_count t);
   Alcotest.(check bool) "fast path actually exercised" true (Sharded.fast_hits t > 0)
 
+(* A delivery-shaped transaction: ten steps, each writing twelve order
+   lines (X, with A and Comp beside it); every step boundary drops the
+   conventional locks while the A/Comp holds stay until commit.  With 120
+   lines over 64 fast slots, collisions push the shard onto the mutex path
+   and its lock table.  After release_all the table must be empty again: a
+   drained entry left behind would keep the shard off the fast path for
+   good. *)
+let test_fast_path_resumes_after_slow_holds () =
+  let t = Sharded.create parity_sem in
+  let table = Resource_id.Table "order_line" in
+  let line d k = Resource_id.Tuple ("order_line", [ Value.Int d; Value.Int k ]) in
+  let acquire txn mode res = Sharded.acquire_req t (Lock_request.make ~txn ~step_type:0 mode res) in
+  for d = 1 to 10 do
+    acquire 1 Mode.IX table;
+    for k = 1 to 12 do
+      acquire 1 Mode.X (line d k);
+      Sharded.attach_req t (Lock_request.make ~txn:1 ~step_type:0 (Mode.A 100) (line d k));
+      acquire 1 (Mode.Comp 10) (line d k)
+    done;
+    ignore (Sharded.release_where t ~txn:1 (fun _ m -> Mode.conventional m))
+  done;
+  Alcotest.(check int) "A and Comp held to commit" 240 (Sharded.lock_count t);
+  let hits = Sharded.fast_hits t in
+  acquire 2 Mode.S (line 99 1);
+  Alcotest.(check int) "shard on the slow path while holds live in its table" hits
+    (Sharded.fast_hits t);
+  ignore (Sharded.release_all t ~txn:2);
+  ignore (Sharded.release_all t ~txn:1);
+  Alcotest.(check int) "no entries left in any shard" 0 (Sharded.entry_count t);
+  Alcotest.(check int) "no holds left" 0 (Sharded.lock_count t);
+  let hits = Sharded.fast_hits t in
+  acquire 3 Mode.X (line 1 1);
+  Alcotest.(check int) "next tuple request takes the fast path" (hits + 1) (Sharded.fast_hits t);
+  ignore (Sharded.release_all t ~txn:3)
+
 (* Conflicting installers racing on one resource: exactly one side's CAS can
    install; the loser must land in the slow path's queue, never as a second
    incompatible hold.  Both submit orders occur across iterations. *)
@@ -750,6 +785,8 @@ let suites =
           test_fast_expiry_race;
         Alcotest.test_case "group-commit crash loses no acked commit" `Quick
           test_group_commit_crash_loses_no_acked_commit;
+        Alcotest.test_case "fast path resumes after a delivery's slow-path holds" `Quick
+          test_fast_path_resumes_after_slow_holds;
       ] );
     ( "parallel.overload",
       [
